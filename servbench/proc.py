@@ -48,6 +48,7 @@ class ServerProcess:
         env = dict(os.environ)
         src = str(root / "src")
         env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        self.data_dir = data_dir
         self.log_path = log_path
         self._log = open(log_path, "ab")
         started = time.perf_counter()

@@ -5,15 +5,24 @@ Run from the repository root::
     python3 servbench/run.py --workload ingest_bulk --seed 1 --seconds 10 --trace 0
 
 One run preloads a data dir with a throwaway server (then SIGKILLs it, so
-the dir holds snapshots plus a WAL tail), spawns the measured server over
-copies of that dir several times to time set-up (crash recovery
-included), drives the last one for ``--seconds`` and gates every output.
+the dir holds snapshots plus a WAL tail), spawns the server over a fresh
+copy of that dir, drives it for ``--seconds`` and gates every output.
+Set-up (crash recovery included) is timed on that spawn and on more
+spawns over fresh copies, one between each two rounds of the window
+(whose clock stops meanwhile) and one after it, so their median samples
+the host over the whole run rather than one moment of it.
 The last line of stdout is the JSON result; the line before it carries
 run details (sample counts, native build, gate failures).
 
-``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` measures an
-untraced window and then a traced one (half the seconds each) and
-reports the per-layer metrics, including the tracer's own overhead.
+The whole run is pinned to one CPU, and a reference kernel is timed
+between calls of the window and just before each spawn; end-to-end times
+are scaled to a nominal host speed by its mean time
+(``servbench/hostspeed.py``).
+
+``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` runs the
+traced launcher and alternates untraced and traced rounds on that one
+server (the wrappers are installed only in traced rounds), and reports
+the per-layer metrics of the traced rounds and the tracer's overhead.
 See ``servbench/README.md`` for the metric definitions.
 """
 
@@ -22,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import resource
 import shutil
 import signal
 import statistics
@@ -33,8 +41,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 HERE = Path(__file__).resolve().parent
 
-#: Set-up spawns per run; ``setup_s`` is their median.
-SETUPS = 5
+#: ``setup_s`` is the median of 1 + (SETUP_ROUNDS - 1) + SETUPS_AFTER
+#: spawns: the measured server, one spawn between each two rounds of the
+#: window and a few after it, so they sample the host across the run.
+SETUP_ROUNDS = 6
+SETUPS_AFTER = 1
+#: Reference-kernel samples taken just before each spawn (its host factor).
+SPAWN_SAMPLES = 10
+#: Rounds of a traced window (untraced and traced alternate).
+TRACE_ROUNDS = 8
 #: Values in the in-process engine baseline (chunked and one-shot).
 STANDALONE_VALUES = 1 << 21
 STANDALONE_CHUNK = 16384
@@ -119,6 +134,8 @@ class Run:
     def stop(self, server) -> None:
         server.kill()
         self.servers.remove(server)
+        if server.data_dir != self.work / "preload":
+            shutil.rmtree(server.data_dir)
 
     def fresh_copy(self) -> Path:
         target = self.work / f"data{self.spawned}"
@@ -138,29 +155,21 @@ class Run:
         self.saved = self.workload.save_state()
 
     def recovered_server(self, *, trace_out=None):
-        """Spawn over a fresh copy of the preload and gate the recovery."""
+        """Spawn over a fresh copy of the preload and gate the recovery
+        against the preload's record (the generator's own is kept)."""
+        current = self.workload.save_state()
         self.workload.restore_state(self.saved)
-        server = self.spawn(self.fresh_copy(), trace_out=trace_out)
-        with self.workload.client(server.port) as client:
-            self.ledger.check(
-                self.workload.probe(client) == self.answers,
-                "answers after crash recovery differ from before the crash",
-            )
-            self.workload.check_counts(client, self.ledger)
+        try:
+            server = self.spawn(self.fresh_copy(), trace_out=trace_out)
+            with self.workload.client(server.port) as client:
+                self.ledger.check(
+                    self.workload.probe(client) == self.answers,
+                    "answers after crash recovery differ from before the crash",
+                )
+                self.workload.check_counts(client, self.ledger)
+        finally:
+            self.workload.restore_state(current)
         return server
-
-    def window(self, server, seconds: float, on_start=lambda: None):
-        """Measure one window; adds the generator's CPU seconds to the stats."""
-        marks = {}
-
-        def start() -> None:
-            on_start()
-            marks["gen"] = generator_cpu()
-
-        stats = self.workload.measure(
-            server.port, seconds, self.ledger, start, server.cpu_seconds)
-        stats.gen_cpu = generator_cpu() - marks["gen"]
-        return stats
 
     def final_gate(self, server) -> dict:
         with self.workload.client(server.port) as client:
@@ -170,51 +179,85 @@ class Run:
     # -- modes ----------------------------------------------------------
 
     def end_to_end(self) -> dict:
+        from hostspeed import HostSpeed
+
+        #: (seconds to READY, host factor just before the spawn) per spawn.
         setups = []
-        for index in range(SETUPS):
+        speed = HostSpeed()
+
+        def timed_setup():
+            before = HostSpeed()
+            for _ in range(SPAWN_SAMPLES):
+                before.sample()
             server = self.recovered_server()
-            setups.append(server.setup_s)
-            if index < SETUPS - 1:
-                self.stop(server)
-        stats = self.window(server, self.args.seconds)
+            setups.append((server.setup_s, before.factor))
+            return server
+
+        def between_rounds(turn: int) -> None:
+            if turn:
+                self.stop(timed_setup())
+
+        server = timed_setup()
+        [stats] = self.workload.measure(
+            server.port, self.args.seconds, self.ledger, server.cpu_seconds,
+            server.peak_rss_mb, rounds=SETUP_ROUNDS, on_round=between_rounds, speed=speed)
         self.final_gate(server)
-        self.info.update(setups_s=setups, window=describe(stats))
+        self.stop(server)
+        for _ in range(SETUPS_AFTER):
+            self.stop(timed_setup())
         ledger = self.ledger
-        return {
-            "setup_s": (statistics.median(setups), "s"),
+        window = {
             "ingest_values_per_s": (stats.values / stats.elapsed, "values/s"),
-            "ingest_call_p50_ms": (percentile_ms(stats.ingest_lat, 50), "ms"),
+            "ingest_call_mean_ms": (statistics.fmean(stats.ingest_lat) * 1e3, "ms"),
             "ingest_call_p90_ms": (percentile_ms(stats.ingest_lat, 90), "ms"),
             "query_p50_ms": (percentile_ms(stats.query_lat, 50), "ms"),
             "query_p90_ms": (percentile_ms(stats.query_lat, 90), "ms"),
             "server_cpu_s_per_mvalue": (stats.server_cpu / mvalues(stats), "s/Mvalue"),
-            "server_peak_rss_mb": (server.peak_rss_mb(), "MB"),
-            "ok_ops_ratio": ((ledger.attempted - ledger.failed) / max(ledger.attempted, 1),
-                             "ratio"),
         }
+        # On the nominal host: each spawn is divided by the host factor
+        # taken just before it; a window time is divided by the window's
+        # host factor, and a rate multiplied by it.
+        factor = speed.factor
+        metrics = {"setup_s": (statistics.median(s / f for s, f in setups), "s")}
+        for name, (value, unit) in window.items():
+            metrics[name] = (value * factor if unit == "values/s" else value / factor, unit)
+        metrics["server_peak_rss_mb"] = (stats.peak_rss_mb, "MB")
+        metrics["ok_ops_ratio"] = (
+            (ledger.attempted - ledger.failed) / max(ledger.attempted, 1), "ratio")
+        as_measured = {name: value for name, (value, _) in window.items()}
+        as_measured["setup_s"] = statistics.median(s for s, _ in setups)
+        self.info.update(
+            setups_s=[s for s, _ in setups], spawn_host_factors=[f for _, f in setups],
+            window=describe(stats), host_factor=factor, reference_samples=len(speed.samples),
+            as_measured=as_measured,
+        )
+        return metrics
 
     def per_layer(self) -> dict:
         from tracing import Tracer
 
         engine = standalone_engine(self.args.seed)
-        half = self.args.seconds / 2.0
-        server = self.recovered_server()
-        plain = self.window(server, half)
-        self.final_gate(server)
-        self.stop(server)
-
         trace_path = self.work / "trace.json"
         server = self.recovered_server(trace_out=trace_path)
         tracer = Tracer()
         install_client_tracing(tracer)
 
-        def start() -> None:
-            server.signal(signal.SIGUSR1)
-            tracer.reset()
+        def end_round() -> None:
+            if tracer.active:
+                server.signal(signal.SIGUSR2)
+                tracer.pause()
 
-        stats = self.window(server, half, start)
-        server.signal(signal.SIGUSR2)
-        trace = read_trace(trace_path)
+        def on_round(turn: int) -> None:
+            end_round()
+            if turn % 2:
+                server.signal(signal.SIGUSR1)
+                tracer.resume()
+
+        plain, stats = self.workload.measure(
+            server.port, self.args.seconds, self.ledger, server.cpu_seconds,
+            server.peak_rss_mb, rounds=TRACE_ROUNDS, phases=2, on_round=on_round)
+        end_round()
+        trace = read_trace(trace_path, tracer.rounds)
         accuracy = self.final_gate(server)
         gen = tracer.dump()
         self.info.update(window=describe(stats), untraced_window=describe(plain),
@@ -279,11 +322,6 @@ class Run:
         }
 
 
-def generator_cpu() -> float:
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    return usage.ru_utime + usage.ru_stime
-
-
 def mvalues(stats) -> float:
     return max(stats.values, 1) / 1e6
 
@@ -294,6 +332,7 @@ def describe(stats) -> dict:
         "seconds": round(stats.elapsed, 3), "acked_values": stats.values,
         "checkpoints": stats.checkpoints, "ingest_calls": len(stats.ingest_lat),
         "queries": len(stats.query_lat), "server_cpu_s": round(stats.server_cpu, 3),
+        "rss_read_at_call": stats.rss_read_at,
     }
 
 
@@ -306,13 +345,17 @@ def install_client_tracing(tracer) -> None:
     tracer.wrap_counter(resilience.RetryState, "spend", "client.retries")
 
 
-def read_trace(path: Path, timeout: float = 60.0) -> dict:
+def read_trace(path: Path, rounds: int, timeout: float = 60.0) -> dict:
+    """The traced server's dump once it covers ``rounds`` traced rounds."""
     deadline = time.monotonic() + timeout
-    while not path.exists():
+    while True:
+        if path.exists():
+            trace = json.loads(path.read_text())
+            if trace["rounds"] == rounds:
+                return trace
         if time.monotonic() > deadline:
-            raise RuntimeError("traced server wrote no trace")
+            raise RuntimeError(f"traced server wrote no trace of {rounds} rounds")
         time.sleep(0.01)
-    return json.loads(path.read_text())
 
 
 def parse_args(argv):
@@ -334,6 +377,9 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(HERE))
+    from hostspeed import pin_to_one_cpu
+
+    cpu = pin_to_one_cpu()
     # Build (or load) the native stage buffer before anything is timed.
     from repro.fast import _native
 
@@ -346,6 +392,7 @@ def main(argv=None) -> int:
         return 2
     run = Run(args, WORKLOADS[args.workload](args.seed, args.tiny))
     run.info["native_stagebuf"] = native
+    run.info["pinned_cpu"] = cpu
     try:
         run.preload()
         metrics = run.per_layer() if args.trace else run.end_to_end()

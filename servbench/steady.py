@@ -2,16 +2,15 @@
 
 Usage (from the repository root)::
 
-    python3 servbench/steady.py --runs 10 [--workload NAME ...] [--out FILE]
-    python3 servbench/steady.py --from-file results.jsonl
+    python3 servbench/steady.py --runs 10 [--workload NAME ...]
 
 Runs ``servbench/run.py`` (untraced) once per seed ``1..N`` for each
 workload, then prints for every end-to-end metric of ``BENCHMARK.json``
 the median, the quartiles (``statistics.quantiles(values, n=4)``), the
 spread ``(Q3 - Q1) / median`` and the verdict against the metric's bound:
 ``steady`` below a third of the bound, ``within`` below the bound, and
-``NOISY`` otherwise.  Raw results are appended to ``--out`` as JSON lines
-so a report can be re-printed with ``--from-file``.
+``NOISY`` otherwise.  Each run's result goes to stdout as it ends, one
+JSON line per run.  Exits 0 only when every metric is steady.
 """
 
 from __future__ import annotations
@@ -28,13 +27,27 @@ ROOT = Path(__file__).resolve().parent.parent
 #: Metrics redefined or dropped because they did not repeat within a
 #: tenth of their median on a 2-core box, and what replaced them.
 REDEFINED = {
-    "restart_s": "dropped: recovery is timed inside setup_s (median of 5 spawns "
-                 "per run) and broken out per layer as recover.ms",
+    "restart_s": "dropped: recovery is timed inside setup_s (median of 7 spawns "
+                 "spread over the run) and broken out per layer as recover.ms",
     "ingest_call_p99_ms / query_p99_ms": "replaced by p90: in 8 s probes p99 ranged "
                                          "4.4-9.6 ms, p90 3.4-4.7 ms",
     "monitor_mixed latencies timed from when a call was due": "redefined as send to "
         "reply in a closed loop: the open loop's ingest p90 spread 0.43 of its median "
         "at 200 writes/s and ranged 4.2-98 ms at 400 writes/s over 10 runs",
+    "server_peak_rss_mb at the end of the window": "redefined as the peak after a fixed "
+        "number of window calls: a fan-in window holds 2 or 3 checkpoint intervals as "
+        "host speed goes, and its server peaked at 170 or 197 MB (spread 0.136)",
+    "ingest_call_p50_ms": "replaced by ingest_call_mean_ms: on one CPU a fan-in run sits "
+        "for seconds at a time in one of two regimes (call p50 about 1.7 or 2.6 ms at the "
+        "same throughput), so its p50 jumped between them and spread 0.252 over ten runs; "
+        "the mean adds the regimes up in proportion, as the throughput does",
+    "monitor_mixed query_p50_ms over half horizon, half query_many reads": "one read in "
+        "four is now a horizon read: half and half, the p50 fell in the gap between the two "
+        "kinds (about 2.6 and 6 ms) and spread 0.175 over ten runs",
+    "every end-to-end time as measured": "redefined as scaled to the nominal host by the "
+        "run's host factor (hostspeed.py), on one pinned CPU: as measured, ingest_fanin "
+        "throughput spread 0.30-0.46 and monitor_mixed throughput 0.41-0.43 between "
+        "two sets of ten runs of identical code",
 }
 
 
@@ -56,7 +69,7 @@ def run_once(workload: str, seed: int, seconds: int) -> dict:
 
 
 def report(rows, bench) -> bool:
-    """Print the table; returns whether every bounded metric is steady."""
+    """Print the table; returns whether every metric is steady."""
     steady = True
     for workload in sorted({row["workload"] for row in rows}):
         runs = [row for row in rows if row["workload"] == workload]
@@ -73,7 +86,7 @@ def report(rows, bench) -> bool:
             spread = (q3 - q1) / median if median else float("inf")
             bound = metric["bound"]
             verdict = "steady" if spread < bound / 3 else "within" if spread < bound else "NOISY"
-            if name != "setup_s" and verdict != "steady":
+            if verdict != "steady":
                 steady = False
             print(f"  {name:28s} {median:12.5g} {q1:12.5g} {q3:12.5g} "
                   f"{spread:7.3f} {bound:6.2f}  {verdict}")
@@ -87,13 +100,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--workload", action="append", default=None)
-    parser.add_argument("--out", default=None, help="append raw results (JSON lines)")
-    parser.add_argument("--from-file", default=None, help="report saved results only")
     args = parser.parse_args(argv)
     bench = load_benchmark()
-    if args.from_file:
-        rows = [json.loads(line) for line in Path(args.from_file).read_text().splitlines()]
-        return 0 if report(rows, bench) else 1
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     rows = []
@@ -101,10 +109,7 @@ def main(argv=None) -> int:
         for seed in range(1, args.runs + 1):
             row = run_once(workload, seed, seconds)
             rows.append(row)
-            if args.out:
-                with open(args.out, "a") as handle:
-                    handle.write(json.dumps(row) + "\n")
-            print(f"{workload} seed {seed}: correct={row['correct']}", flush=True)
+            print(json.dumps(row), flush=True)
     return 0 if report(rows, bench) else 1
 
 

@@ -9,13 +9,16 @@ so the traced server is the production server with wrappers installed on
 the public entry points of each module (``src/`` is not modified).  The
 server process is controlled with two signals:
 
-* ``SIGUSR1`` starts a window: every aggregate is dropped and counter
-  baselines are taken.
-* ``SIGUSR2`` ends it: the window's spans, counters and the start-up
-  recovery time are written to ``TRACE_OUT.json`` (atomically, via a
-  temporary file and a rename).
+* ``SIGUSR1`` starts a traced round: the wrappers are installed and
+  counter baselines are taken.
+* ``SIGUSR2`` ends it: the original code is put back, and everything the
+  traced rounds so far recorded (spans, counters, the start-up recovery
+  time, the number of rounds) is written to ``TRACE_OUT.json``
+  (atomically, via a temporary file and a rename).
 
-Both handlers run as event-loop callbacks, never in the middle of a span.
+Between rounds the server runs its own code, unwrapped, so one process
+can serve traced and untraced rounds alternately.  Both handlers run as
+event-loop callbacks, never in the middle of a span on the loop thread.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ DECODERS = (
 
 
 class ServerTrace:
-    """The wrappers, the window baselines and the dump for one server."""
+    """The wrappers, the round baselines and the dump for one server."""
 
     def __init__(self, out_path: str) -> None:
         self.out_path = out_path
@@ -55,11 +58,13 @@ class ServerTrace:
         self.service = None
         self.server = None
         self.recover_s = None
-        self._wal_base = (0, 0)
-        self._index_base = (0, 0)
-        self._shed_base = 0
+        self._base = None
+        #: Counter totals over the traced rounds that have ended.
+        self.totals = {"wal_commits": 0, "wal_records": 0, "index_hits": 0,
+                       "index_rebuilds": 0, "shed_frames": 0}
 
     def install(self) -> None:
+        """Register the round wrappers; patch start-up (always traced)."""
         from repro.fast import engine
         from repro.service import persistence, protocol, resilience, server, store
         from repro.windowed import ring, store as wstore
@@ -78,7 +83,7 @@ class ServerTrace:
             t.count("server.ticks")
             return t.call("server.dispatch", process_frames, (srv, frames, conn_), {})
 
-        server.QuantileServer._process_frames = counted_process
+        t.patch(server.QuantileServer, "_process_frames", counted_process)
         t.wrap(server.QuantileServer, "_dispatch", "server.dispatch")
         multi_query = server.QuantileServer._multi_query
 
@@ -89,7 +94,7 @@ class ServerTrace:
             finally:
                 t.sample("store.query_batch", t.outer_total("store.query") - before)
 
-        server.QuantileServer._multi_query = traced_multi_query
+        t.patch(server.QuantileServer, "_multi_query", traced_multi_query)
 
         t.wrap(resilience.SessionTable, "admit", "session.admit")
 
@@ -103,7 +108,7 @@ class ServerTrace:
             )
             return ticket
 
-        persistence.GroupCommitWal.append = traced_append
+        t.patch(persistence.GroupCommitWal, "append", traced_append)
         inner_append = persistence.WriteAheadLog.append
 
         def traced_write(wal, op, seq, key, payload, *, flush=True):
@@ -112,7 +117,7 @@ class ServerTrace:
             return t.call("wal.write", inner_append, (wal, op, seq, key, payload),
                           {"flush": flush})
 
-        persistence.WriteAheadLog.append = traced_write
+        t.patch(persistence.WriteAheadLog, "append", traced_write)
         t.wrap(server.QuantileService, "snapshot_all", "snapshot.checkpoint", sample=True)
 
         service_init = server.QuantileService.__init__
@@ -142,7 +147,7 @@ class ServerTrace:
                 t.sample("windowed.buckets", len(sources))
             return t.call("engine.merge_many", merge_many, (target, sources), {})
 
-        sketch.merge_many = traced_merge_many
+        t.patch(sketch, "merge_many", traced_merge_many)
 
         t.wrap(wstore.WindowStore, "ingest", "windowed.ingest")
         t.wrap(ring.WindowRing, "horizon", "windowed.horizon", sample=True)
@@ -153,44 +158,38 @@ class ServerTrace:
             await start(srv)
             self.server = srv
             loop = srv._loop
-            loop.add_signal_handler(signal.SIGUSR1, self.begin_window)
-            loop.add_signal_handler(signal.SIGUSR2, self.end_window)
+            loop.add_signal_handler(signal.SIGUSR1, self.begin_round)
+            loop.add_signal_handler(signal.SIGUSR2, self.end_round)
 
         server.QuantileServer.start = traced_start
 
-    # -- window control -------------------------------------------------
+    # -- traced rounds ----------------------------------------------------
 
-    def _wal_counts(self):
+    def _counts(self) -> dict:
         wal = self.service.wal  # a GroupCommitWal: serve runs with a data dir
-        return (wal.commit_count, wal.committed_records)
+        index = self.service.store.query_index_stats()
+        return {"wal_commits": wal.commit_count, "wal_records": wal.committed_records,
+                "index_hits": index["hits"], "index_rebuilds": index["rebuilds"],
+                "shed_frames": self.server.shed_count}
 
-    def _index_counts(self):
-        stats = self.service.store.query_index_stats()
-        return (stats["hits"], stats["rebuilds"])
+    def begin_round(self) -> None:
+        self._base = self._counts()
+        self.tracer.resume()
 
-    def begin_window(self) -> None:
-        self.tracer.reset()
-        self._wal_base = self._wal_counts()
-        self._index_base = self._index_counts()
-        self._shed_base = self.server.shed_count
-
-    def end_window(self) -> None:
+    def end_round(self) -> None:
+        self.tracer.pause()
+        for name, value in self._counts().items():
+            self.totals[name] += value - self._base[name]
         data = self.tracer.dump()
-        commits, records = self._wal_counts()
-        hits, rebuilds = self._index_counts()
         store = self.service.store
         retained = [store.peek(key).num_retained for key in store.resident_keys]
         from repro.fast import engine
 
         data.update(
+            self.totals,
             recover_s=self.recover_s,
             native_stagebuf=engine._NativeStageBuffer is not None,
-            wal_commits=commits - self._wal_base[0],
-            wal_records=records - self._wal_base[1],
-            index_hits=hits - self._index_base[0],
-            index_rebuilds=rebuilds - self._index_base[1],
             retained_items_per_key=sum(retained) / len(retained) if retained else 0.0,
-            shed_frames=self.server.shed_count - self._shed_base,
         )
         tmp = f"{self.out_path}.tmp"
         with open(tmp, "w") as handle:

@@ -15,9 +15,10 @@ long the run is:
 * duration samples for names registered with ``sample=True`` (the
   percentile metrics), and plain counters.
 
-The first :data:`RAW_SPAN_CAP` spans of a window are also kept raw as
-``(name, parent, thread, start, end)`` so a trace file can be inspected
-span by span.
+Wrappers are registered with :meth:`Tracer.patch` (or :meth:`wrap`) but
+only installed between :meth:`resume` and :meth:`pause`, which put the
+original attributes back.  A run can so alternate traced and untraced
+rounds in one process, and its untraced rounds run the unmodified code.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional
 
-RAW_SPAN_CAP = 20000
-
 perf_counter = time.perf_counter
 
 
@@ -36,17 +35,43 @@ class Tracer:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._local = threading.local()
-        self.reset()
+        self._patches: List[tuple] = []
+        self._resumed: Optional[float] = None
+        self.layers: Dict[str, List[float]] = {}
+        self.samples: Dict[str, List[float]] = {}
+        self.counters: Dict[str, float] = {}
+        self.roots: Dict[str, float] = {}
+        #: Wall seconds and number of the traced rounds so far.
+        self.active_s = 0.0
+        self.rounds = 0
 
-    def reset(self) -> None:
-        """Start a new window: drop every aggregate recorded so far."""
-        with self._lock:
-            self.layers: Dict[str, List[float]] = {}
-            self.samples: Dict[str, List[float]] = {}
-            self.counters: Dict[str, float] = {}
-            self.roots: Dict[str, float] = {}
-            self.raw: List[tuple] = []
-            self.started = perf_counter()
+    # -- traced rounds ---------------------------------------------------
+
+    def patch(self, owner, attr: str, replacement) -> None:
+        """Register ``replacement`` for ``owner.attr`` (installed while traced)."""
+        original = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+        self._patches.append((owner, attr, original, replacement))
+
+    def resume(self) -> None:
+        """Start a traced round: install every registered wrapper."""
+        for owner, attr, _, replacement in self._patches:
+            setattr(owner, attr, replacement)
+        self._resumed = perf_counter()
+
+    def pause(self) -> None:
+        """End a traced round: put every original attribute back."""
+        for owner, attr, original, _ in self._patches:
+            setattr(owner, attr, original)
+        self.active_s += perf_counter() - self._resumed
+        self._resumed = None
+        self.rounds += 1
+
+    @property
+    def active(self) -> bool:
+        """Whether a traced round is open."""
+        return self._resumed is not None
+
+    # -- recording -------------------------------------------------------
 
     def _stack(self) -> list:
         stack = getattr(self._local, "stack", None)
@@ -83,9 +108,8 @@ class Tracer:
         try:
             return fn(*args, **kwargs)
         finally:
-            end = perf_counter()
+            duration = perf_counter() - start
             stack.pop()
-            duration = end - start
             if parent is not None:
                 parent[0] += duration
             with self._lock:
@@ -102,15 +126,10 @@ class Tracer:
                     self.roots[thread] = self.roots.get(thread, 0.0) + duration
                 if sample:
                     self.samples.setdefault(name, []).append(duration)
-                if len(self.raw) < RAW_SPAN_CAP and start >= self.started:
-                    self.raw.append(
-                        (name, None if parent is None else parent[1],
-                         threading.current_thread().name, start, end)
-                    )
 
     def wrap(self, owner, attr: str, name: str, *, sample: bool = False) -> None:
-        """Replace ``owner.attr`` (a function, method, static or class
-        method) with a wrapper that records a span per call."""
+        """Register a wrapper for ``owner.attr`` (a function, method, static
+        or class method) that records a span per call."""
         raw = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         kind = type(raw) if isinstance(raw, (staticmethod, classmethod)) else None
         original = raw.__func__ if kind is not None else raw
@@ -120,10 +139,10 @@ class Tracer:
         def traced(*args, **kwargs):
             return tracer.call(name, original, args, kwargs, sample=sample)
 
-        setattr(owner, attr, kind(traced) if kind is not None else traced)
+        self.patch(owner, attr, kind(traced) if kind is not None else traced)
 
     def wrap_counter(self, owner, attr: str, name: str) -> None:
-        """Replace ``owner.attr`` with a wrapper that only counts calls."""
+        """Register a wrapper for ``owner.attr`` that only counts calls."""
         original = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         tracer = self
 
@@ -132,13 +151,14 @@ class Tracer:
             tracer.count(name)
             return original(*args, **kwargs)
 
-        setattr(owner, attr, counted)
+        self.patch(owner, attr, counted)
 
     def dump(self) -> dict:
-        """Everything recorded since the last :meth:`reset`, as JSON-ready data."""
+        """Everything recorded in the traced rounds, as JSON-ready data."""
         with self._lock:
             return {
-                "window_s": perf_counter() - self.started,
+                "window_s": self.active_s,
+                "rounds": self.rounds,
                 "layers": {
                     name: {"count": e[0], "total_s": e[1], "self_s": e[2], "outer_s": e[3]}
                     for name, e in self.layers.items()
@@ -146,5 +166,4 @@ class Tracer:
                 "samples": {name: list(values) for name, values in self.samples.items()},
                 "counters": dict(self.counters),
                 "roots": dict(self.roots),
-                "raw_spans": list(self.raw),
             }

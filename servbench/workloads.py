@@ -9,19 +9,22 @@ shape whose p99/p99.9 the paper's relative-error guarantee is built for.
 
 All three are closed loops on one exactly-once connection: each call
 waits for its reply, every 8th call is followed by a read, and a
-checkpoint runs after a fixed number of calls.
+checkpoint runs after a fixed number of calls.  A call's inputs are
+prepared before it is sent and recorded after its reply, so the latency
+of a call holds only the client library and the server.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import resource
 import time
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 
 from gate import TAIL_FRACTIONS, ExactInputs, Ledger, answers_key, error_over_bound
+from hostspeed import SAMPLE_EVERY_S
 from repro.errors import ReproError
 from repro.service import QuantileClient, RetryPolicy
 
@@ -49,17 +52,37 @@ def read_many(client: QuantileClient, requests) -> list:
     return results
 
 
+def generator_cpu() -> float:
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
+class Call(NamedTuple):
+    """One prepared ingest call: the client method and its arguments, and
+    the ``(key, values, timestamps)`` parts to record once it is acked."""
+
+    method: str
+    args: tuple
+    parts: list
+
+
 class WindowStats:
     """Samples and totals of one measured window (times in seconds)."""
 
     def __init__(self) -> None:
         self.ingest_lat: List[float] = []
         self.query_lat: List[float] = []
+        #: Generator time from each reply to the next request it sends.
         self.lateness: List[float] = []
         self.values = 0
         self.checkpoints = 0
         self.elapsed = 0.0
         self.server_cpu = 0.0
+        self.gen_cpu = 0.0
+        #: Server peak RSS (MB) read after ``rss_calls`` window calls, and
+        #: the call count it was read at.
+        self.peak_rss_mb = 0.0
+        self.rss_read_at = 0
 
 
 class Workload:
@@ -140,16 +163,24 @@ class Workload:
         )
         worst[q] = max(worst[q], ratio)
 
+    def _send(self, stats) -> float:
+        """The time a request is sent; samples the generator's lateness."""
+        now = time.perf_counter()
+        if stats is not None:
+            stats.lateness.append(now - self._replied)
+        return now
+
     def _checkpoint(self, client: QuantileClient, ledger: Ledger, stats) -> None:
+        self._send(stats)
         try:
             client.snapshot()
         except ReproError as exc:
             ledger.fail(f"snapshot: {exc}")
-            return
-        ledger.ok()
-        if stats is not None:
-            stats.checkpoints += 1
-
+        else:
+            ledger.ok()
+            if stats is not None:
+                stats.checkpoints += 1
+        self._replied = time.perf_counter()
 
     # -- the closed loop -----------------------------------------------
 
@@ -158,10 +189,26 @@ class Workload:
     #: Calls between checkpoints.  The call sequence is fixed, so this is
     #: also a fixed count of acknowledged values.
     checkpoint_calls = 0
+    #: Window calls after which the server's peak RSS is read.  The state
+    #: a server holds grows with the values it has taken, so the peak is
+    #: read at a fixed amount of work (past the first checkpoint) rather
+    #: than at the end of a window whose length in calls follows host speed.
+    rss_calls = 0
 
-    def call(self, client: QuantileClient, index: int) -> int:
-        """Run ingest call ``index``; returns the values acknowledged."""
+    def prepare(self, index: int) -> Call:
+        """The inputs of ingest call ``index``."""
         raise NotImplementedError
+
+    def send(self, client: QuantileClient, call: Call) -> None:
+        getattr(client, call.method)(*call.args)
+
+    def record(self, call: Call) -> int:
+        """Record an acknowledged call's inputs; returns its value count."""
+        values = 0
+        for key, part, timestamps in call.parts:
+            self.inputs.add(key, part, timestamps)
+            values += int(part.size)
+        return values
 
     def read(self, client: QuantileClient, index: int) -> None:
         """The read after call ``index``: an 8-key ``query_many``."""
@@ -173,28 +220,32 @@ class Workload:
     def _step(self, client, index, ledger, stats) -> bool:
         """Ingest call ``index``, plus its read and checkpoint when due;
         returns whether a checkpoint ran."""
-        sent = time.perf_counter()
+        call = self.prepare(index)
+        sent = self._send(stats)
         try:
-            values = self.call(client, index)
+            self.send(client, call)
         except ReproError as exc:
+            self._replied = time.perf_counter()
             ledger.fail(f"ingest call {index}: {exc}")
             values = 0
         else:
+            self._replied = time.perf_counter()
             ledger.ok()
-        done = time.perf_counter()
+            values = self.record(call)
         if stats is not None:
-            stats.ingest_lat.append(done - sent)
+            stats.ingest_lat.append(self._replied - sent)
             stats.values += values
         if index % READ_EVERY == READ_EVERY - 1:
-            start = time.perf_counter()
+            sent = self._send(stats)
             try:
                 self.read(client, index)
             except ReproError as exc:
                 ledger.fail(f"read after call {index}: {exc}")
             else:
                 ledger.ok()
+            self._replied = time.perf_counter()
             if stats is not None:
-                stats.query_lat.append(time.perf_counter() - start)
+                stats.query_lat.append(self._replied - sent)
         self.last_tick = index
         self._since_checkpoint += 1
         if self._since_checkpoint < self.checkpoint_calls:
@@ -203,39 +254,88 @@ class Workload:
         self._since_checkpoint = 0
         return True
 
-    def measure(self, port, seconds, ledger, on_start, cpu_now) -> WindowStats:
-        """Drive the window (``on_start()`` opens it, ``cpu_now()`` reads
-        the server's CPU seconds): calls until ``seconds`` have passed and
-        a checkpoint has just run: a window holds whole checkpoint intervals, so whether one
-        more checkpoint falls inside it never depends on host speed."""
-        stats = WindowStats()
+    def measure(self, port, seconds, ledger, cpu_now, rss_now, *, rounds=1, phases=1,
+                on_round=None, speed=None):
+        """Drive the window and return one :class:`WindowStats` per phase.
+
+        ``cpu_now()`` reads the server's CPU seconds and ``rss_now()`` its
+        peak RSS, once, after :attr:`rss_calls` calls of the window (or at
+        its end, if it is shorter).  Calls run until
+        ``seconds`` have passed and a checkpoint has just run, so a window
+        holds whole checkpoint intervals and whether one more checkpoint
+        falls inside it never depends on host speed.  The window is cut
+        into ``rounds`` rounds of equal length; ``on_round(turn)`` runs
+        before each, outside the window's time.  With ``phases=2`` the
+        rounds alternate between the two phases and each round holds
+        whole checkpoint intervals (so it may run longer), and the window
+        ends after a round of the second phase.  With a ``speed``
+        (:class:`hostspeed.HostSpeed`) the reference kernel runs every
+        :data:`hostspeed.SAMPLE_EVERY_S` of window time, between calls and
+        outside the window's clock.
+        """
+        stats = [WindowStats() for _ in range(phases)]
+        round_seconds = seconds / rounds
+        done = 0.0
         self._since_checkpoint = 0
         with self.client(port) as client:
-            first = self.preload_calls + self.warmup_calls
-            for index in range(self.preload_calls, first):
+            index = self.preload_calls
+            self._replied = time.perf_counter()
+            for _ in range(self.warmup_calls):
                 self._step(client, index, ledger, None)
-            on_start()
-            cpu = cpu_now()
-            started = previous = time.perf_counter()
-            for index in itertools.count(first):
-                stats.lateness.append(time.perf_counter() - previous)
-                checkpointed = self._step(client, index, ledger, stats)
-                previous = time.perf_counter()
-                if checkpointed and previous - started >= seconds:
-                    break
-            stats.elapsed = previous - started
-            stats.server_cpu = cpu_now() - cpu
-        return stats
+                index += 1
+            first = index
+            for turn in range(1 << 30):
+                if on_round is not None:
+                    on_round(turn)
+                phase = stats[turn % phases]
+                cpu, gen = cpu_now(), generator_cpu()
+                started = self._replied = time.perf_counter()
+                paused = 0.0
+                next_sample = started
+                while True:
+                    checkpointed = self._step(client, index, ledger, phase)
+                    index += 1
+                    if index - first == self.rss_calls:
+                        self._read_rss(stats[0], rss_now, index - first)
+                    if speed is not None and self._replied >= next_sample:
+                        before = time.perf_counter()
+                        speed.sample()
+                        self._replied = time.perf_counter()
+                        paused += self._replied - before
+                        next_sample = self._replied + SAMPLE_EVERY_S
+                    took = self._replied - started - paused
+                    if phases == 1 and checkpointed and done + took >= seconds:
+                        break
+                    if took >= round_seconds and (
+                        checkpointed if phases > 1 else done + took < seconds
+                    ):
+                        break
+                phase.elapsed += took
+                phase.server_cpu += cpu_now() - cpu
+                phase.gen_cpu += generator_cpu() - gen
+                done += took
+                if turn % phases == phases - 1 and done >= seconds:
+                    if not stats[0].rss_read_at:
+                        self._read_rss(stats[0], rss_now, index - first)
+                    return stats
+
+    @staticmethod
+    def _read_rss(stats, rss_now, calls) -> None:
+        stats.peak_rss_mb = rss_now()
+        stats.rss_read_at = calls
 
     def preload(self, client, ledger) -> None:
         half = self.preload_calls * 3 // 4
+        self._replied = time.perf_counter()
         for index in range(self.preload_calls):
+            call = self.prepare(index)
             try:
-                self.call(client, index)
+                self.send(client, call)
             except ReproError as exc:
                 ledger.fail(f"preload call {index}: {exc}")
             else:
                 ledger.ok()
+                self.record(call)
             if index == half:
                 self._checkpoint(client, ledger, None)
         self.last_tick = self.preload_calls - 1
@@ -255,6 +355,7 @@ class IngestBulk(Workload):
         self.schedule = pool_rng.integers(len(self.blocks), size=4096)
         self.preload_calls = 64
         self.checkpoint_calls = 32
+        self.rss_calls = 256
 
     def sampled_keys(self):
         return ["bulk-00", "bulk-07"]
@@ -262,12 +363,13 @@ class IngestBulk(Workload):
     def all_keys(self):
         return self.keys
 
-    def call(self, client, index) -> int:
+    def prepare(self, index) -> Call:
         key = self.keys[index % len(self.keys)]
         block = self.blocks[self.schedule[index % len(self.schedule)]]
-        client.ingest_stream(key, block, frame_values=self.frame_values, window=self.frames)
-        self.inputs.add(key, block)
-        return int(block.size)
+        return Call("ingest_stream", (key, block), [(key, block, None)])
+
+    def send(self, client, call) -> None:
+        client.ingest_stream(*call.args, frame_values=self.frame_values, window=self.frames)
 
 
 class IngestFanin(Workload):
@@ -285,6 +387,7 @@ class IngestFanin(Workload):
         self.offsets = pool_rng.integers(0, self.pool.size - self.batch, size=(4096, self.per_call))
         self.preload_calls = 400
         self.checkpoint_calls = 256 if tiny else 2048
+        self.rss_calls = 512 if tiny else 2048
 
     def sampled_keys(self):
         return ["fan-0000", "fan-0033"]
@@ -292,17 +395,14 @@ class IngestFanin(Workload):
     def all_keys(self):
         return self.keys
 
-    def call(self, client, index) -> int:
+    def prepare(self, index) -> Call:
         row = self.offsets[index % len(self.offsets)]
         first = index * self.per_call
         batches = [
             (self.keys[(first + j) % self.num_keys], self.pool[row[j]: row[j] + self.batch])
             for j in range(self.per_call)
         ]
-        client.ingest_multi(batches)
-        for key, values in batches:
-            self.inputs.add(key, values)
-        return self.per_call * self.batch
+        return Call("ingest_multi", (batches,), [(key, values, None) for key, values in batches])
 
 
 class MonitorMixed(Workload):
@@ -311,7 +411,7 @@ class MonitorMixed(Workload):
 
     #: Buckets (1 s each) a horizon read spans.
     horizon_buckets = 64
-    window_values = 500
+    window_values = 2000
     plain_values = 64
     epoch = 1_000_000.0
     #: Virtual seconds one call advances the generator's clock: coarse
@@ -330,6 +430,7 @@ class MonitorMixed(Workload):
         self.spread = np.arange(self.window_values) / self.window_values
         self.preload_calls = 1200 if tiny else 6400
         self.checkpoint_calls = 500 if tiny else 2000
+        self.rss_calls = 1000 if tiny else 4000
 
     def sampled_keys(self):
         return ["all-00", "all-07", "win-0", "win-3"]
@@ -342,7 +443,7 @@ class MonitorMixed(Workload):
         return (self.epoch + coarse * self.preload_tick_seconds
                 + (tick - coarse) * self.tick_seconds)
 
-    def call(self, client, index) -> int:
+    def prepare(self, index) -> Call:
         """9 of 10 calls are a windowed batch, 1 of 10 an all-time multi-ingest."""
         offset = int(self.offsets[index % len(self.offsets)])
         if index % 10 == 9:
@@ -350,29 +451,28 @@ class MonitorMixed(Workload):
                 (key, self.pool[offset + 8 * j: offset + 8 * j + self.plain_values])
                 for j, key in enumerate(self.pkeys)
             ]
-            client.ingest_multi(batches)
-            for key, values in batches:
-                self.inputs.add(key, values)
-            return len(batches) * self.plain_values
+            return Call("ingest_multi", (batches,),
+                        [(key, values, None) for key, values in batches])
         key = self.wkeys[index % len(self.wkeys)]
         values = self.pool[offset: offset + self.window_values]
         timestamps = self.vt(index) + self.spread * (self.vt(index + 1) - self.vt(index))
-        client.ingest_windowed(key, timestamps, values)
-        self.inputs.add(key, values, timestamps)
-        return self.window_values
+        return Call("ingest_windowed", (key, timestamps, values), [(key, values, timestamps)])
 
     def horizon(self, client: QuantileClient, key: str, last_tick: int, fractions, buckets: int):
         end = math.floor(self.vt(last_tick)) + 1.0
         return client.query_horizon(key, fractions, start=end - buckets, end=end), end
 
     def read(self, client, index) -> None:
-        """Alternate a horizon read and an 8-key all-time ``query_many``."""
+        """One read in four is a horizon read, the others an 8-key
+        all-time ``query_many``.  (Half and half, the read p50 fell in the
+        gap between the two kinds' latencies, about 2.6 and 6 ms, and
+        jumped across it from run to run.)"""
         turn = index // READ_EVERY
-        if turn % 2 == 0:
-            key = self.wkeys[(turn // 2) % len(self.wkeys)]
+        if turn % 4 == 0:
+            key = self.wkeys[(turn // 4) % len(self.wkeys)]
             self.horizon(client, key, index, READ_FRACTIONS, self.horizon_buckets)
         else:
-            half = (turn // 2) % 2
+            half = turn % 2
             keys = self.pkeys[half * READ_KEYS: (half + 1) * READ_KEYS]
             read_many(client, [(key, READ_FRACTIONS) for key in keys])
 
