@@ -15,6 +15,11 @@ Two entry points share one workload definition:
   recorded are backfilled into it from the first run that measures them,
   so pre-existing baseline entries are never perturbed.
 
+  ``update_many_chunked`` (fast engine only) feeds the ``update_many``
+  batch as 16,384-value calls, the shape the service applies frames in:
+  each call pays a sort plus one compaction cascade, where the one-shot
+  row pays one sort for the whole batch.
+
   Aggregation-plane rows (items/sec over the same 16-shard workload):
   ``merge_many`` is the fast engine's k-way union, ``merge_fold16`` the
   equivalent sequential pairwise-``merge`` fold — their ratio is the
@@ -317,6 +322,7 @@ def test_deserialize_throughput(benchmark):
 TRACKED_OPS = (
     "update",
     "update_many",
+    "update_many_chunked",
     "merge",
     "quantiles",
     "serde",
@@ -342,6 +348,10 @@ ENGINE_OPS = {
 
 #: Shards in the aggregation-plane workloads (merge_many / merge_fold16).
 AGG_SHARDS = 16
+
+#: ``update_many_chunked`` call size: the batch workload fed the way the
+#: service applies frames (16K-value ``update_many`` calls).
+CHUNKED_BATCH = 16_384
 
 #: Acceptance ratios checked by ``--check`` (fast engine vs baseline).
 SPEEDUP_FLOORS = {"update": 5.0, "update_many": 3.0}
@@ -543,12 +553,21 @@ def measure_engine(name: str, *, smoke: bool = False, repeats: int = 3) -> Dict[
     if fast:
         from repro.shard import ShardedReqSketch
 
+        def run_batch_chunked() -> int:
+            sketch = make(2)
+            for offset in range(0, batch_n, CHUNKED_BATCH):
+                sketch.update_many(batch_data[offset : offset + CHUNKED_BATCH])
+            sketch.flush()
+            assert sketch.n == batch_n
+            return batch_n
+
         def run_sharded() -> int:
             sharded = ShardedReqSketch(4, k=32, seed=9, backend="local")
             sharded.update_many(batch_data)
             assert sharded.n == batch_n
             return batch_n
 
+        ops["update_many_chunked"] = _best_ops_per_sec(run_batch_chunked, repeats=repeats)
         ops["merge_fold16"] = _best_ops_per_sec(run_merge_fold, repeats=repeats)
         ops["sharded_ingest"] = _best_ops_per_sec(run_sharded, repeats=repeats)
         ops["service_ingest"] = _measure_service_ingest(batch_data, repeats=repeats)

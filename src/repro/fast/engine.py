@@ -1,22 +1,32 @@
 """A numpy-accelerated REQ sketch for float64 streams.
 
 :class:`FastReqSketch` implements the same relative-compactor stack as
-:class:`repro.core.req.ReqSketch` but is built around three
+:class:`repro.core.req.ReqSketch` but is built around four
 throughput-first structures:
 
 * **Sorted-run levels** — each compactor level keeps a consolidated sorted
   array plus a list of *pending sorted runs* (appended batches and
-  promotions).  Appending a batch is O(1); runs are only merged (one
-  concatenate + one near-linear sort over already-sorted runs) when a
+  promotions).  Appending a batch is O(1); runs are only merged when a
   compaction or query actually needs the level in sorted order.  A batch
   append followed by merge-style compactions is exactly a merge with a
   pre-sorted single-level sketch, so the Appendix D guarantee framework
   covers it (batching changes which compactions fire, not the guarantee
   class).
+* **A native compaction cascade** — each ingested run (a sorted batch, a
+  drained staging block, or a ``merge_many``) costs one call into the C
+  extension, which walks the levels bottom up and compacts each full one
+  in a single pass: merge the level's sorted arrays, keep the protected
+  part, promote every other item of the rest by one coin flip.  Without
+  a C compiler (or with ``REPRO_NO_NATIVE=1``) ``_compress`` runs the same
+  cascade in Python, consolidating with a stable sort.  Both paths take
+  tied items from the earliest array first, draw the same coins from the
+  sketch's generator and apply the same capacity rule, so they produce
+  byte-identical ``FRQ1`` payloads and leave the generator at the same
+  position.
 * **A preallocated staging block** — scalar :meth:`update` writes into a
-  fixed float64 block (a C extension compiled on first import, with a
-  pure-Python fallback) and the block is drained into the level structure
-  only when full, so single-item ingestion costs one C call per item.
+  fixed float64 block (in the same C extension, with a pure-Python
+  fallback) and the block is drained into the level structure only when
+  full, so single-item ingestion costs one C call per item.
   An explicit :meth:`flush` (implicit on any query) controls visibility.
 * **A version-stamped query index** — per-level sorted arrays are cached
   and version-stamped; a query rebuilds only levels dirtied since the
@@ -66,7 +76,7 @@ from repro.errors import (
     IncompatibleSketchesError,
     InvalidParameterError,
 )
-from repro.fast._native import load_stage_buffer
+from repro.fast._native import load_native
 
 __all__ = ["FastReqSketch"]
 
@@ -83,8 +93,14 @@ _EMPTY_WEIGHTS = np.empty(0, dtype=np.int64)
 #: bother copying out of bases larger than this).
 _PIN_EXEMPT_BYTES = 16384
 
+_NATIVE = load_native()
+
 #: The C staging-buffer type, or None when no toolchain is available.
-_NativeStageBuffer = load_stage_buffer()
+_NativeStageBuffer = None if _NATIVE is None else _NATIVE.StageBuffer
+
+#: The C compaction cascade (one call per ``_compress``), or None when no
+#: toolchain is available; ``_compress`` then runs its Python loop.
+_native_cascade = None if _NATIVE is None else _NATIVE.cascade
 
 
 class _QueryIndex:
@@ -170,6 +186,20 @@ class _PyStageBuffer:
         return self._buf[: self.count].tobytes()
 
 
+def _zeros(run: np.ndarray) -> np.ndarray:
+    """The ``-0.0``/``0.0`` block of a sorted run, as a view."""
+    return run[np.searchsorted(run, 0.0, "left") : np.searchsorted(run, 0.0, "right")]
+
+
+def _stable_zeros(merged: np.ndarray, arrays: Sequence[np.ndarray]) -> None:
+    """Reorder the zeros of ``merged`` (the sorted concatenation of the
+    sorted ``arrays``) as a stable sort would: by array, then position."""
+    if merged[0] <= 0.0 <= merged[-1]:
+        zeros = _zeros(merged)
+        if zeros.size > 1:
+            zeros[:] = np.concatenate([_zeros(run) for run in arrays])
+
+
 class _FastLevel:
     """One compactor level: a consolidated sorted array + pending sorted runs.
 
@@ -235,9 +265,15 @@ class _FastLevel:
     def consolidate(self) -> np.ndarray:
         """Merge pending runs into the sorted array (lazy, idempotent).
 
-        numpy's introsort is near-linear on the concatenation of a few
-        sorted runs, and SIMD-accelerated — measurably faster here than an
-        explicit k-way merge in Python.
+        The result is the stable sort of ``[items, *runs]`` concatenated:
+        equal items (``-0.0`` against ``0.0`` included) keep the earliest
+        array's first, the order the native cascade's merge produces, so
+        both paths build identical levels.  Two arrays (the streaming
+        shape: a level plus one new run) go through timsort, which merges
+        them by galloping.  More (a ``merge_many``) go through numpy's
+        SIMD sort, several times faster there; it may reorder ties, but
+        equal nonzero floats are bit-identical, so only the zeros need
+        putting back in stable order.
         """
         if self.runs:
             arrays = self.runs if not self.items.size else [self.items, *self.runs]
@@ -245,7 +281,11 @@ class _FastLevel:
                 self.items = arrays[0]
             else:
                 merged = np.concatenate(arrays)
-                merged.sort()
+                if len(arrays) == 2:
+                    merged.sort(kind="stable")
+                else:
+                    merged.sort()
+                    _stable_zeros(merged, arrays)
                 self.items = merged
             self.runs = []
             self.run_size = 0
@@ -421,8 +461,7 @@ class FastReqSketch:
             self._max = float(last)
         if not self._levels:
             self._levels.append(_FastLevel())
-        self._levels[0].add_run(run)
-        self._compress()
+        self._compress(run)
 
     # ------------------------------------------------------------------
     # Compaction (merge-style: batch semantics)
@@ -442,7 +481,26 @@ class FastReqSketch:
         state.cap_valid = self.k << sections
         return state.cap_cache
 
-    def _compress(self) -> None:
+    def _compress(self, run: Optional[np.ndarray] = None) -> None:
+        """Add ``run`` (sorted) to level 0, then compact every full level.
+
+        With the C extension loaded this is one call into the native
+        cascade; otherwise the Python loop below, which builds the same
+        levels bit for bit from the same coins.
+        """
+        if _native_cascade is not None:
+            _native_cascade(
+                self._levels,
+                run,
+                self.k,
+                self.hra,
+                self._fixed_capacity or 0,
+                self._rng.bit_generator,
+                np.empty,
+            )
+            return
+        if run is not None:
+            self._levels[0].add_run(run)
         level = 0
         while level < len(self._levels):
             current = self._levels[level]
@@ -543,6 +601,10 @@ class FastReqSketch:
             self._max = max(self._max, other_max)
         self._n += total
         if total:
+            # One sort per level over all the donors' runs, rather than the
+            # cascade merging them pairwise.
+            for level in self._levels:
+                level.consolidate()
             self._compress()
         return self
 

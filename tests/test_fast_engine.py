@@ -357,6 +357,140 @@ class TestPythonFallbackStage:
         assert sketch.rank(2.0) == block + 1
 
 
+def _identity_inputs(size: int, seed: int) -> dict:
+    """The cascade identity inputs: wide values, heavy ties, signed zeros,
+    monotone streams.  ``-0.0`` and ``0.0`` are equal under ``<`` but
+    distinct in the payload bytes, so only they show which of two tied
+    items a merge took first: in long blocks (half the stream) and in
+    blocks short enough to meet the merge's item-by-item path (sparse)."""
+    rng = np.random.default_rng([seed, size])
+    ascending = np.sort(rng.random(size))
+    sparse = rng.random(size) < 0.002
+    return {
+        "lognormal": rng.lognormal(0.0, 2.0, size),
+        "duplicates": rng.integers(0, 7, size).astype(np.float64),
+        "signed_zeros": np.where(rng.random(size) < 0.5, -0.0, 0.0),
+        "sparse_signed_zeros": np.where(
+            sparse, np.where(rng.random(size) < 0.5, -0.0, 0.0), rng.standard_normal(size)
+        ),
+        "sorted": ascending,
+        "reversed": ascending[::-1].copy(),
+    }
+
+
+def _ingest(shape: str, values: np.ndarray, seed: int, params: dict) -> FastReqSketch:
+    sketch = FastReqSketch(32, seed=seed, **params)
+    if shape == "chunked":  # the service shape: 16K-value calls
+        for offset in range(0, values.size, 16_384):
+            sketch.update_many(values[offset : offset + 16_384])
+    elif shape == "oneshot":
+        sketch.update_many(values)
+    elif shape == "scalar":  # staged scalars, drained block by block
+        for value in values.tolist():
+            sketch.update(value)
+    else:  # merge_many of 16 donors into a non-empty target
+        donors = []
+        for index, part in enumerate(np.array_split(values, 17)[1:]):
+            donor = FastReqSketch(32, seed=seed * 100 + index, **params)
+            donor.update_many(part[:-100])
+            donor.update_many(part[-100:])  # left staged in the donor
+            donors.append(donor)
+        sketch.update_many(np.array_split(values, 17)[0])
+        sketch.merge_many(donors)
+    return sketch
+
+
+class TestNativeCascadeIdentity:
+    """The C compaction cascade and the Python loop build the same sketch:
+    identical FRQ1 bytes, the generator left at the same position and the
+    same per-level versions."""
+
+    SIZES = {"chunked": 400_000, "oneshot": 2_000_000, "scalar": 40_000, "merge_many": 400_000}
+    MODES = {"lra": {}, "hra": {"hra": True}, "n_bound": {"n_bound": 1_000_000}}
+
+    @pytest.fixture(scope="class")
+    def kernel(self):
+        from repro.fast import _native
+
+        # Loaded even under REPRO_NO_NATIVE, so the no-native CI leg runs
+        # the comparison too.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delenv("REPRO_NO_NATIVE", raising=False)
+            module = _native.load_native()
+        if module is None:
+            pytest.skip(f"no C extension: {_native.native_build_error()}")
+        return module.cascade
+
+    @staticmethod
+    def _outcome(monkeypatch, cascade, shape, values, seed, params):
+        from repro.fast import engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "_native_cascade", cascade)
+        sketch = _ingest(shape, values, seed, params)
+        versions = [level.version for level in sketch._levels]
+        return sketch.to_bytes(), sketch._rng.random(), versions
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("shape", sorted(SIZES))
+    def test_native_matches_fallback(self, monkeypatch, kernel, shape, mode):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        params = self.MODES[mode]
+        for seed in range(5):
+            for name, values in _identity_inputs(self.SIZES[shape], seed).items():
+                native = self._outcome(monkeypatch, counted, shape, values, seed, params)
+                fallback = self._outcome(monkeypatch, None, shape, values, seed, params)
+                assert native[0] == fallback[0], (shape, mode, name, seed)
+                assert native[1] == fallback[1], (shape, mode, name, seed)
+                # Same version bumps, so query-index cache keys behave the same.
+                assert native[2] == fallback[2], (shape, mode, name, seed)
+        assert calls, "the native cascade never ran"
+
+    def test_unaligned_levels(self, monkeypatch, kernel):
+        """Levels decoded zero-copy from inside a larger buffer (a bucket of
+        a windowed snapshot, say) can sit at unaligned addresses."""
+        from repro.fast import engine as engine_mod
+
+        values = _identity_inputs(200_000, 0)["lognormal"]
+        payload = _ingest("chunked", values, 0, {}).to_bytes()
+        outcomes = []
+        for cascade in (kernel, None):
+            monkeypatch.setattr(engine_mod, "_native_cascade", cascade)
+            sketch = FastReqSketch.from_bytes(memoryview(b"\0" + payload)[1:])
+            assert not sketch._levels[0].items.flags.aligned
+            sketch._rng = np.random.default_rng(7)
+            sketch.update_many(values[:50_000])
+            outcomes.append((sketch.to_bytes(), sketch._rng.random()))
+        assert outcomes[0] == outcomes[1]
+
+    def test_default_path_is_the_kernel(self, monkeypatch):
+        from repro.fast import engine as engine_mod
+
+        if engine_mod._NATIVE is None:
+            pytest.skip("C extension not loaded (REPRO_NO_NATIVE or no compiler)")
+        kernel = engine_mod._native_cascade
+        assert kernel is engine_mod._NATIVE.cascade
+        calls = []
+        monkeypatch.setattr(
+            engine_mod, "_native_cascade", lambda *args: calls.append(1) or kernel(*args)
+        )
+        python_compactions = []
+        compact_level = engine_mod.FastReqSketch._compact_level
+        monkeypatch.setattr(
+            engine_mod.FastReqSketch,
+            "_compact_level",
+            lambda *args: python_compactions.append(1) or compact_level(*args),
+        )
+        sketch = FastReqSketch(32, seed=1)
+        sketch.update_many(np.random.default_rng(1).random(100_000))
+        assert calls and not python_compactions
+        assert sketch.num_levels > 1
+
+
 class TestErrorBounds:
     def test_rank_bounds_bracket_estimate(self, big_stream):
         sketch = FastReqSketch(32, seed=60)
